@@ -102,15 +102,17 @@ struct AxisTrace {
   }
   // Per-sample Euclidean magnitude — the stream the paper's features use.
   std::vector<double> magnitude() const;
+  // magnitude()[i], without materializing the stream.
+  double magnitude_at(std::size_t i) const {
+    return std::sqrt(x[i] * x[i] + y[i] * y[i] + z[i] * z[i]);
+  }
   // One axis by index 0..2 (Table II iterates axes).
   const std::vector<double>& axis(int i) const;
 };
 
 inline std::vector<double> AxisTrace::magnitude() const {
   std::vector<double> m(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    m[i] = std::sqrt(x[i] * x[i] + y[i] * y[i] + z[i] * z[i]);
-  }
+  for (std::size_t i = 0; i < x.size(); ++i) m[i] = magnitude_at(i);
   return m;
 }
 

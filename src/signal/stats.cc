@@ -9,19 +9,6 @@
 
 namespace sy::signal {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 void RunningStats::merge(const RunningStats& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {

@@ -1,6 +1,7 @@
 // Streaming and batch descriptive statistics for sensor windows.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -47,5 +48,19 @@ double pearson(std::span<const double> xs, std::span<const double> ys);
 
 // Percentile with linear interpolation, q in [0,1]. Copies and sorts.
 double percentile(std::span<const double> xs, double q);
+
+// Inline: the feature extractor's per-sample hot loop.
+inline void RunningStats::add(double x) {
+  if (n_ == 0) {
+    min_ = max_ = x;
+  } else {
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+  ++n_;
+  const double delta = x - mean_;
+  mean_ += delta / static_cast<double>(n_);
+  m2_ += delta * (x - mean_);
+}
 
 }  // namespace sy::signal

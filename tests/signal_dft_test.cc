@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -144,6 +145,67 @@ TEST(SpectralPeaks, HandlesTinyInput) {
   const std::vector<double> x{1.0};
   const auto peaks = spectral_peaks(x, 50.0);
   EXPECT_DOUBLE_EQ(peaks.peak_amplitude, 0.0);
+}
+
+// Real-input FFT plan against the complex reference, power-of-two sizes
+// 2..4096: full-length windows, and shorter ones with an offset removed and
+// zero padding, as the feature extractor loads them.
+TEST(RealFftPlan, MatchesMagnitudeSpectrum) {
+  util::Rng rng(24);
+  for (std::size_t n = 2; n <= 4096; n <<= 1) {
+    const RealFftPlan plan(n);
+    ASSERT_EQ(plan.size(), n);
+    ASSERT_EQ(plan.bins(), n / 2 + 1);
+    std::vector<double> work(n), out(plan.bins());
+    for (const std::size_t len : {n, n - n / 4, n / 2 + 1}) {
+      std::vector<double> x(len);
+      for (auto& v : x) v = rng.gaussian(9.81, 2.0);
+      for (const double offset : {0.0, 9.81}) {
+        std::vector<double> ref_in(n, 0.0);
+        for (std::size_t i = 0; i < len; ++i) ref_in[i] = x[i] - offset;
+        const auto want = magnitude_spectrum(ref_in);
+        plan.magnitude_spectrum(x, offset, work, out);
+        ASSERT_EQ(want.size(), plan.bins());
+        double largest = 0.0;
+        for (const double m : want) largest = std::max(largest, m);
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          EXPECT_NEAR(out[k], want[k], 1e-12 * largest)
+              << "n=" << n << " len=" << len << " offset=" << offset
+              << " bin " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(RealFftPlan, PureToneAmplitude) {
+  const std::size_t n = 512;
+  const RealFftPlan plan(n);
+  const auto x = sinusoid(n, 20.0 * 50.0 / n, 50.0, 2.5);  // bin 20
+  std::vector<double> work(n), out(plan.bins());
+  plan.magnitude_spectrum(x, 0.0, work, out);
+  EXPECT_NEAR(out[20], 2.5, 1e-12);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    if (k != 20) {
+      EXPECT_LT(out[k], 1e-12) << "bin " << k;
+    }
+  }
+}
+
+TEST(RealFftPlan, RejectsNonPowerOfTwoAndShortBuffers) {
+  for (const std::size_t n : {0, 1, 3, 6, 100, 300, 1000}) {
+    EXPECT_THROW(RealFftPlan{n}, std::invalid_argument) << n;
+  }
+  const RealFftPlan plan(8);
+  std::vector<double> x(9, 1.0), work(8), out(5);
+  EXPECT_THROW(plan.magnitude_spectrum(x, 0.0, work, out),
+               std::invalid_argument);
+  x.resize(8);
+  std::vector<double> short_work(7), short_out(4);
+  EXPECT_THROW(plan.magnitude_spectrum(x, 0.0, short_work, out),
+               std::invalid_argument);
+  EXPECT_THROW(plan.magnitude_spectrum(x, 0.0, work, short_out),
+               std::invalid_argument);
 }
 
 // Parseval across sizes, both FFT and direct paths.
